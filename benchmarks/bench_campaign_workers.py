@@ -1,16 +1,13 @@
-"""Warm worker pool vs fresh-pool-per-chunk: the campaign launch path.
+"""The warm worker pool on the campaign launch path.
 
 The service launches campaigns in small chunks (cooperative cancel lands
 on chunk boundaries), so an executor's *per-``execute()``* start-up cost
-is paid once per chunk.  The stock ``process`` executor builds a fresh
-``ProcessPoolExecutor`` every call — spawn + numpy/repro import per
-chunk — while the ``workers`` executor leases a process-wide pool of
-long-lived workers that stays warm across calls.  This benchmark drives
-the same service-style chunked launch through both and checks:
+is paid once per chunk.  The ``workers`` executor leases a process-wide
+pool of long-lived workers that stays warm across calls.  This benchmark
+drives a service-style chunked launch through it and checks:
 
-* **throughput** — the warm pool beats the fresh-pool executor on a
-  chunked launch (the recurring spawn+import cost is exactly what it
-  removes),
+* **warmth** — chunked launches and bare ``execute()`` calls land on the
+  same worker processes, with no respawn,
 * **determinism** — the workers backend reproduces the serial executor's
   deterministic campaign report, crash-requeue and straggler machinery
   notwithstanding.
@@ -93,21 +90,6 @@ def test_warm_pool_chunked_throughput(benchmark, warm_pool, tmp_path):
                  get_executor("serial"))
     assert aggregate(store.records()).deterministic_dict() == \
         aggregate(reference_store.records()).deterministic_dict()
-
-
-def test_warm_pool_beats_fresh_pool_per_chunk(warm_pool, tmp_path):
-    """Best-of-3 chunked walls: the warm pool's margin is the per-chunk
-    spawn+import the process executor re-pays (robust even on one core,
-    where neither backend gets real parallelism)."""
-    workers_exec = WorkerPoolExecutor(max_workers=MAX_WORKERS,
-                                      pool=warm_pool)
-    process_exec = get_executor("process", max_workers=MAX_WORKERS)
-    _chunked_launch(workers_exec, tmp_path)  # warmup, pipes already hot
-    workers_wall = min(_chunked_launch(workers_exec, tmp_path)[1]
-                       for _ in range(3))
-    process_wall = min(_chunked_launch(process_exec, tmp_path)[1]
-                       for _ in range(3))
-    assert workers_wall < process_wall
 
 
 def test_direct_execute_reuses_the_same_workers(warm_pool):

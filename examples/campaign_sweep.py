@@ -4,7 +4,7 @@
 The Artificial Scientist pays off when the simulation + in-transit-learning
 loop runs across many physics scenarios.  This example declares a small
 learning-rate sweep with a 2-member seed ensemble per point, executes it
-with the thread-pool executor, persists every run to an append-only JSONL
+on the warm worker pool, persists every run to an append-only JSONL
 store — re-running the script skips completed runs — and prints the
 aggregated campaign report with the best run.
 
@@ -36,7 +36,7 @@ def main() -> None:
     print(f"campaign {spec.name!r}: {len(spec.resolve())} runs "
           f"({len(store.completed_run_ids())} already in {store_path})")
     outcome = run_campaign(
-        spec, store, get_executor("thread", max_workers=3),
+        spec, store, get_executor("workers", max_workers=3),
         on_record=lambda r: print(f"  [{r.run_id}] {r.status} "
                                   f"in {r.elapsed_s:.2f} s"))
     print(f"skipped {outcome.skipped}, executed {outcome.executed}, "

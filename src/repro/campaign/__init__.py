@@ -7,14 +7,11 @@ as one hand-launched session.  This subsystem turns one declarative
 
 * :mod:`repro.campaign.spec`      — grid/random/explicit sampling over
   dotted ``WorkflowConfig`` overrides with deterministic per-run seeds,
-* :mod:`repro.campaign.scheduler` — pluggable executors (serial / thread /
-  process pools) with bounded concurrency, per-run timeout/retry and
-  captured exceptions, plus :func:`run_campaign` tying everything together,
+* :mod:`repro.campaign.scheduler` — the executor contract and registry,
+  the serial executor, per-run timeout/retry and captured exceptions, plus
+  :func:`run_campaign` tying everything together,
 * :mod:`repro.campaign.store`     — the append-only JSONL result log keyed
   by run-id hash that makes campaigns resumable,
-* :mod:`repro.campaign.sharding`  — the sharded executor: partition a
-  campaign across named shards under a routing policy (hash / round-robin
-  / explicit) and delegate each shard to any registered inner executor,
 * :mod:`repro.campaign.cache`     — the content-addressed per-run result
   cache: completed runs are reusable across campaigns, not just within
   one store,
@@ -26,8 +23,7 @@ as one hand-launched session.  This subsystem turns one declarative
   harness persisting ``BENCH_campaign_throughput.json`` records,
 * :mod:`repro.campaign.aggregate` — the campaign-level report (per-parameter
   stats, best-run selection, throughput, cache provenance),
-* :mod:`repro.campaign.presets`   — named campaigns (``campaign-smoke``,
-  ``campaign-smoke-sharded``).
+* :mod:`repro.campaign.presets`   — named campaigns (``campaign-smoke``).
 
 CLI access: ``python -m repro.cli campaign run|status|report``.
 See ``docs/campaigns.md`` and ``docs/extending-executors.md``.
@@ -40,20 +36,12 @@ from repro.campaign.presets import (available_campaign_presets,
                                     get_campaign_preset,
                                     register_campaign_preset)
 from repro.campaign.scheduler import (CampaignExecutor, CampaignOutcome,
-                                      ProcessPoolCampaignExecutor,
-                                      SerialExecutor,
-                                      ThreadPoolCampaignExecutor,
-                                      available_executors,
+                                      SerialExecutor, available_executors,
                                       default_pool_workers, execute_run,
                                       get_executor, register_executor,
                                       run_campaign)
 from repro.campaign.workers import (WorkerPool, WorkerPoolExecutor,
                                     shared_pool, shutdown_shared_pools)
-from repro.campaign.sharding import (ExplicitRouter, HashRouter,
-                                     RoundRobinRouter, ShardedExecutor,
-                                     WorkloadRouter, available_routers,
-                                     get_router, register_router,
-                                     stable_shard_hash)
 from repro.campaign.spec import (CampaignSpec, RunSpec, apply_override,
                                  run_id_of)
 from repro.campaign.store import CampaignStore, RunRecord
@@ -67,17 +55,6 @@ __all__ = [
     "RunRecord",
     "CampaignExecutor",
     "SerialExecutor",
-    "ThreadPoolCampaignExecutor",
-    "ProcessPoolCampaignExecutor",
-    "ShardedExecutor",
-    "WorkloadRouter",
-    "HashRouter",
-    "RoundRobinRouter",
-    "ExplicitRouter",
-    "available_routers",
-    "get_router",
-    "register_router",
-    "stable_shard_hash",
     "ResultCache",
     "WorkerPool",
     "WorkerPoolExecutor",

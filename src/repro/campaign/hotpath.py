@@ -1,11 +1,11 @@
-"""The campaign-throughput benchmark: serial vs process vs workers, persisted.
+"""The campaign-throughput benchmark: serial vs workers, persisted.
 
 The campaign-layer sibling of :mod:`repro.pic.hotpath`: where that harness
 tracks steps/second of the PIC kernels, this one tracks **runs/second of
 the campaign executors** on a service-style *chunked* launch of the smoke
 preset — the launch shape :mod:`repro.service.jobs` actually uses, where
-per-``execute()`` start-up cost (fresh process pools, re-imports, per-run
-pickling) multiplies by the number of chunks.  Results append to
+per-``execute()`` overhead (dispatch, per-run pickling, IPC) multiplies
+by the number of chunks.  Results append to
 ``BENCH_campaign_throughput.json`` at the repository root via
 :mod:`repro.utils.benchjson`, so the perf trajectory finally covers the
 orchestration layer, not just the kernels (see ``docs/performance.md``).
@@ -36,7 +36,7 @@ from repro.campaign.workers import WorkerPool, WorkerPoolExecutor
 from repro.telemetry import disabled as telemetry_disabled
 
 #: The executors the benchmark compares, in measurement order.
-BENCH_EXECUTORS = ("serial", "process", "workers")
+BENCH_EXECUTORS = ("serial", "workers")
 
 #: The default campaign preset driven through the executors.
 DEFAULT_PRESET = "campaign-smoke"
@@ -47,7 +47,7 @@ def service_chunk_size(executor_name: str, max_workers: int) -> int:
 
     Mirrors ``CampaignJob._chunk_size``: the service launches campaigns in
     small chunks so cancellation stays cooperative — one run at a time on
-    the serial executor, ``max_workers`` runs per chunk on the pools.
+    the serial executor, ``max_workers`` runs per chunk on the pool.
     """
     return 1 if executor_name == "serial" else max(1, int(max_workers))
 
@@ -87,8 +87,6 @@ class CampaignThroughputResult:
     def metrics(self) -> Dict[str, object]:
         """The measured figures (the benchjson ``metrics`` block)."""
         return {"runs_per_sec": dict(self.runs_per_sec),
-                "speedup_workers_vs_process": self.speedup("workers",
-                                                           "process"),
                 "speedup_workers_vs_serial": self.speedup("workers",
                                                           "serial"),
                 "pool_stats": dict(self.pool_stats),
@@ -192,7 +190,6 @@ def run_campaign_benchmark(preset: str = DEFAULT_PRESET,
     rates: Dict[str, float] = {}
     last_records: Dict[str, List[RunRecord]] = {}
     executors = {"serial": get_executor("serial"),
-                 "process": get_executor("process", max_workers=workers_n),
                  "workers": WorkerPoolExecutor(max_workers=workers_n,
                                                pool=pool)}
     try:
@@ -244,9 +241,7 @@ def format_result(result: CampaignThroughputResult) -> str:
     for name in BENCH_EXECUTORS:
         lines.append(f"  {name:>8}: {result.runs_per_sec[name]:7.2f} runs/s"
                      f"  (chunk {result.chunk_sizes[name]})")
-    lines.append(f"  workers vs process: "
-                 f"{result.speedup('workers', 'process'):.2f}x"
-                 f"   workers vs serial: "
+    lines.append(f"  workers vs serial: "
                  f"{result.speedup('workers', 'serial'):.2f}x")
     status = "OK" if result.equivalent else "FAILED"
     lines.append(f"  workers == serial records: {status}"
@@ -259,7 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; exit 1 on equivalence failure, 2 on bad arguments."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign.hotpath",
-        description="benchmark campaign executors (serial/process/workers) "
+        description="benchmark campaign executors (serial/workers) "
                     "on a chunked service-style launch of the smoke preset "
                     "and append to BENCH_campaign_throughput.json")
     parser.add_argument("--preset", type=str, default=DEFAULT_PRESET,

@@ -8,11 +8,6 @@ names one run's configuration, a campaign preset names a whole sweep.
   in seconds while exercising sampling, seed derivation, execution,
   persistence and aggregation end to end.  The benchmark harness uses the
   same 8 runs to compare executors.
-* ``campaign-smoke-sharded`` — the same 8 runs carrying sharded-execution
-  hints (4 hash-routed shards, serial inner executor): the CI proof that a
-  sharded launch reproduces the serial campaign exactly.  Because routing
-  hints are not part of run identity, both presets resolve to identical
-  run ids — which also makes them the cross-campaign result-cache demo.
 """
 
 from __future__ import annotations
@@ -52,16 +47,8 @@ def _campaign_smoke() -> CampaignSpec:
         seed=2025)
 
 
-def _campaign_smoke_sharded() -> CampaignSpec:
-    spec = _campaign_smoke().to_dict()
-    spec.update(name="campaign-smoke-sharded",
-                routing={"shards": 4, "route": "hash", "inner": "serial"})
-    return CampaignSpec.from_dict(spec)
-
-
 _CAMPAIGN_PRESETS: Dict[str, Callable[[], CampaignSpec]] = {
     "campaign-smoke": _campaign_smoke,
-    "campaign-smoke-sharded": _campaign_smoke_sharded,
 }
 
 

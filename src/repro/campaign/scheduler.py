@@ -5,25 +5,19 @@ the resolved runs get executed.  Executors share one contract —
 ``execute(payloads, worker, on_record)`` returns one
 :class:`repro.campaign.store.RunRecord` per payload, with per-run retry,
 a cooperative wall-clock timeout and every exception captured into the
-record instead of raised — so future scaling work (sharded executors,
-remote workers, result caching) only has to implement this interface.
+record instead of raised — so a new backend (remote workers, say) only
+has to implement this interface and :func:`register_executor` it.
 
-* :class:`SerialExecutor`      — one run after another, in process,
-* :class:`ThreadPoolCampaignExecutor`  — bounded thread fan-out; the
-  coupled runs spend much of their time in numpy kernels that release the
-  GIL, so tiny sweeps already overlap usefully,
-* :class:`ProcessPoolCampaignExecutor` — bounded process fan-out for real
-  CPU parallelism (the worker and payloads are picklable by construction),
-* :class:`repro.campaign.sharding.ShardedExecutor` — partitions the runs
-  across named shards under a routing policy and delegates each shard to
-  any inner registered executor.
+* :class:`SerialExecutor` — one run after another, in process,
+* :class:`repro.campaign.workers.WorkerPoolExecutor` (``workers``) — the
+  warm worker pool: long-lived worker processes shared across launches.
 
-The timeout is *cooperative*: an in-flight run is never killed (neither
-threads nor in-process work can be interrupted safely).  It budgets the
-whole run including retries: a failing attempt is only retried while wall
-time remains, and a successful attempt is always recorded completed — over
-budget it keeps its result, annotated with a ``TimeoutWarning`` (discarding
-finished work would re-execute it on every resume, forever).
+The timeout is *cooperative*: an in-flight run is never killed (in-process
+work cannot be interrupted safely).  It budgets the whole run including
+retries: a failing attempt is only retried while wall time remains, and a
+successful attempt is always recorded completed — over budget it keeps
+its result, annotated with a ``TimeoutWarning`` (discarding finished work
+would re-execute it on every resume, forever).
 
 :func:`run_campaign` ties spec, store, executor and (optionally) a
 :class:`repro.campaign.cache.ResultCache` together: resolve the spec, skip
@@ -40,8 +34,6 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
-    ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Type
 
@@ -73,8 +65,9 @@ RecordCallback = Callable[[RunRecord], None]
 def execute_run(payload: Dict[str, object]) -> Dict[str, object]:
     """Default worker: one coupled workflow run from a resolved payload.
 
-    Module-level (hence picklable) so the process-pool executor can ship it
-    to workers by reference.  Returns the uniform ``RunResult.summary()``.
+    Module-level (hence picklable) so the worker pool can ship it to its
+    worker processes by reference.  Returns the uniform
+    ``RunResult.summary()``.
     """
     from repro.core.config import WorkflowConfig
     from repro.workflow import WorkflowBuilder
@@ -91,14 +84,14 @@ def _attempt_run(payload: Dict[str, object], worker: RunWorker,
                  retries: int, timeout: Optional[float]) -> RunRecord:
     """Run one payload with retry + cooperative timeout, capturing failures.
 
-    The universal per-run wrapper: serial and thread executors call it in
-    process, the process pool and warm worker pool call it inside their
-    children.  That makes it the single place where the *execute* span of
-    a trace opens — when the payload carries a ``trace`` propagation
-    context (attached by :func:`run_campaign`), the attempt runs inside an
-    ``execute`` span joined to the dispatching parent, and the finished
-    spans travel back on the record as a ``_spans`` instance attribute
-    (surviving pickling, invisible to ``asdict``/the store).
+    The universal per-run wrapper: the serial executor calls it in
+    process, the warm worker pool inside its worker processes.  That makes
+    it the single place where the *execute* span of a trace opens — when
+    the payload carries a ``trace`` propagation context (attached by
+    :func:`run_campaign`), the attempt runs inside an ``execute`` span
+    joined to the dispatching parent, and the finished spans travel back
+    on the record as a ``_spans`` instance attribute (surviving pickling,
+    invisible to ``asdict``/the store).
     """
     trace_ctx = payload.get("trace")
     if trace_ctx is None or not is_enabled():
@@ -173,7 +166,7 @@ DEFAULT_MAX_POOL_WORKERS = 8
 
 
 def default_pool_workers(maximum: int = DEFAULT_MAX_POOL_WORKERS) -> int:
-    """The machine-derived default worker count of the pool executors.
+    """The machine-derived default worker count of the worker pool.
 
     ``os.cpu_count()`` clamped to ``[2, maximum]``: at least two workers so
     concurrency semantics are always exercised (and a single-core box still
@@ -242,85 +235,11 @@ class SerialExecutor(CampaignExecutor):
         return records
 
 
-class _PoolExecutorBase(CampaignExecutor):
-    """Shared bounded-pool scaffolding of the concurrent executors."""
-
-    pool_cls: type = None  # type: ignore[assignment]
-
-    def execute(self, payloads, worker, on_record=None):
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        n_workers = min(self.max_workers or default_pool_workers(),
-                        len(payloads))
-        by_future = {}
-        futures = []
-        with self.pool_cls(max_workers=n_workers) as pool:
-            for payload in payloads:
-                future = pool.submit(_attempt_run, payload, worker,
-                                     self.retries, self.timeout)
-                by_future[future] = payload
-                futures.append(future)
-            records = {}
-            pending = set(by_future)
-            try:
-                self._drain(pending, by_future, records, on_record)
-            except BaseException:
-                # abort (Ctrl-C, store write failure, ...): stop queued runs
-                # instead of silently executing — and discarding — them all
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        # hand records back in submission order regardless of completion order
-        return [records[future] for future in futures]
-
-    @staticmethod
-    def _drain(pending, by_future, records, on_record):
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                payload = by_future[future]
-                try:
-                    record = future.result()
-                except (KeyboardInterrupt, SystemExit):
-                    # _attempt_run re-raised it in the worker so the
-                    # campaign aborts — don't log it as a failed run
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - pool infrastructure died
-                    record = RunRecord(
-                        run_id=payload["run_id"], index=payload["index"],
-                        params=dict(payload["params"]),
-                        driver=payload["driver"],
-                        n_steps=int(payload["n_steps"]),
-                        status=STATUS_FAILED, attempts=1,
-                        error=f"{type(exc).__name__}: {exc}")
-                # keyed by future, not run_id: duplicate run ids in the
-                # payload list must each keep their own record
-                records[future] = record
-                if on_record is not None:
-                    on_record(record)
-
-
-class ThreadPoolCampaignExecutor(_PoolExecutorBase):
-    """Bounded thread fan-out (shared memory, GIL-released numpy kernels)."""
-
-    name = "thread"
-    pool_cls = ThreadPoolExecutor
-
-
-class ProcessPoolCampaignExecutor(_PoolExecutorBase):
-    """Bounded process fan-out: real CPU parallelism for bigger sweeps."""
-
-    name = "process"
-    pool_cls = ProcessPoolExecutor
-
-
 # --------------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------------- #
 _EXECUTORS: Dict[str, Type[CampaignExecutor]] = {
     SerialExecutor.name: SerialExecutor,
-    ThreadPoolCampaignExecutor.name: ThreadPoolCampaignExecutor,
-    ProcessPoolCampaignExecutor.name: ProcessPoolCampaignExecutor,
 }
 
 
@@ -331,7 +250,7 @@ def available_executors() -> tuple:
 
 def register_executor(name: str, executor_cls: Type[CampaignExecutor],
                       overwrite: bool = False) -> None:
-    """Register a campaign executor (the hook for sharded/remote backends).
+    """Register a campaign executor (the hook for new backends).
 
     Args:
         name: the registry key (what ``--executor`` and :func:`get_executor`
@@ -351,8 +270,8 @@ def get_executor(name: str, **kwargs) -> CampaignExecutor:
     """Instantiate a registered executor by name.
 
     Args:
-        name: one of :func:`available_executors` (``serial``, ``thread``,
-            ``process``, ``sharded``, or a user-registered backend).
+        name: one of :func:`available_executors` (``serial``, ``workers``,
+            or a user-registered backend).
         **kwargs: forwarded to the executor's constructor.
 
     Returns:
@@ -519,8 +438,8 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
         max_runs: at most this many pending runs this launch (cache hits
             count against the bound — they consume pending slots).
         on_record: observer invoked once per produced record.  Dispatch is
-            serialised with the store append under one lock (concurrent
-            executors produce records from several threads), and a raising
+            serialised with the store append under one lock (an executor
+            may produce records from several threads), and a raising
             observer is logged and detached — a broken progress reporter or
             event subscriber must not kill the executor drain loop mid-
             campaign.  Store/cache write failures still abort the launch.
@@ -564,8 +483,8 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
         # worker-side spans ride the record as an undeclared attribute;
         # strip them before the record reaches the store or any observer
         child_spans = record.__dict__.pop("_spans", None)
-        # one lock around append + cache + dispatch: concurrent executors
-        # call this from pool/drain threads, and observers (progress
+        # one lock around append + cache + dispatch: an executor may call
+        # this from several threads, and observers (progress
         # printers, event buses) must see records one at a time, in the
         # order they were persisted
         with record_lock:

@@ -1,12 +1,11 @@
 """Persistent worker-pool campaign execution: warm workers, batched dispatch.
 
-Every other concurrent executor in this repo pays its start-up cost per
-``execute()`` call: :class:`repro.campaign.scheduler.ProcessPoolCampaignExecutor`
-constructs a fresh ``ProcessPoolExecutor`` inside each call, so a
-service-style chunked campaign launch (small ``run_campaign`` slices
-between cooperative-cancel checks, see :mod:`repro.service.jobs`) re-pays
-process spawn, interpreter start and the numpy/repro import for **every
-chunk**.  This module removes that tax:
+A per-call process pool (a fresh ``ProcessPoolExecutor`` inside each
+``execute()``) pays its start-up cost per call, so a service-style chunked
+campaign launch (small ``run_campaign`` slices between cooperative-cancel
+checks, see :mod:`repro.service.jobs`) would re-pay process spawn,
+interpreter start and the numpy/repro import for **every chunk**.  This
+module removes that tax:
 
 * a :class:`WorkerPool` owns **long-lived worker processes** that import
   repro once and stay warm across ``execute()`` calls, chunks, campaigns
@@ -30,10 +29,10 @@ chunk**.  This module removes that tax:
 
 The executor side, :class:`WorkerPoolExecutor`, registers as ``workers``
 in the executor registry, so it is reachable from ``--executor workers``,
-``CampaignSpec.routing["inner"]`` (a sharded campaign can delegate every
-shard to the shared pool) and :func:`repro.campaign.scheduler.get_executor`.
-Only one ``execute()`` drains a pool at a time; concurrent leases (e.g.
-sharded delegation) queue on the pool lock and run back to back.
+the service's ``executor`` option and
+:func:`repro.campaign.scheduler.get_executor`.  Only one ``execute()``
+drains a pool at a time; concurrent leases (e.g. several service jobs)
+queue on the pool lock and run back to back.
 
 Everything here is stdlib: ``multiprocessing`` pipes and processes, no
 new dependencies.  The default start method is ``spawn`` — workers pay
@@ -220,7 +219,7 @@ class WorkerPool:
     dead worker's in-flight runs and respawning the worker.
 
     Thread safety: :meth:`run` holds an internal lock for its whole drain,
-    so concurrent leases (several campaign jobs, sharded delegation) are
+    so concurrent leases (several campaign jobs) are
     serialised — correctness over parallel drains; the workers themselves
     are the parallelism.
 
@@ -376,11 +375,18 @@ class WorkerPool:
         by_conn = {worker.conn: worker for worker in workers}
         for ready_conn in readable:
             worker = by_conn[ready_conn]
-            try:
-                while ready_conn.poll():
-                    self._handle(worker, ready_conn.recv(), lease)
-            except (EOFError, OSError):
-                worker.dead = True
+            while True:
+                try:
+                    if not ready_conn.poll():
+                        break
+                    message = ready_conn.recv()
+                except (EOFError, OSError):
+                    worker.dead = True
+                    break
+                # outside the try: an OSError raised by the record observer
+                # (a failed store write) aborts the drain; it is not a
+                # dead pipe
+                self._handle(worker, message, lease)
 
     def _handle(self, worker: _Worker, message, lease: Optional["_Lease"]):
         worker.last_seen = time.monotonic()
@@ -581,8 +587,7 @@ class _Lease:
             return False
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             # the worker callable (or a payload) cannot cross the pipe —
-            # an infrastructure failure, captured per record like the pool
-            # executors capture BrokenProcessPool
+            # an infrastructure failure, captured per record
             for ticket in tickets:
                 if not self.is_done(ticket):
                     payload = self.payload_of[ticket]
@@ -713,9 +718,8 @@ class WorkerPoolExecutor(CampaignExecutor):
     """Campaign executor backed by a persistent warm worker pool.
 
     Registered as ``workers``: ``get_executor("workers", max_workers=4)``,
-    ``--executor workers`` on the CLI, ``routing["inner"] = "workers"``
-    for sharded delegation, and the service's executor options all reach
-    it.  Unless an explicit ``pool`` is passed, instances lease the
+    ``--executor workers`` on the CLI and the service's executor options
+    all reach it.  Unless an explicit ``pool`` is passed, instances lease the
     process-wide :func:`shared_pool` of their worker count, so repeated
     ``execute()`` calls — and chunked service launches — reuse warm
     workers instead of re-spawning and re-importing per call.
@@ -736,8 +740,7 @@ class WorkerPoolExecutor(CampaignExecutor):
 
     Attributes:
         last_stats: after :meth:`execute`, the pool counters this call
-            added (dispatch/result/requeue/straggler/respawn counts) —
-            the worker-pool analogue of ``ShardedExecutor.shard_sizes``.
+            added (dispatch/result/requeue/straggler/respawn counts).
     """
 
     name = "workers"

@@ -27,7 +27,7 @@ script) exposes the main entry points of the reproduction:
   append the result to ``BENCH_pic_hotpath.json`` (see
   ``docs/performance.md``),
 * ``bench-campaign``   — benchmark the campaign executors
-  (serial/process/workers) on a chunked service-style launch and append
+  (serial/workers) on a chunked service-style launch and append
   the result to ``BENCH_campaign_throughput.json``.
 
 ``run`` is built on :mod:`repro.workflow`: it assembles a
@@ -122,31 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="run (or resume) a campaign; completed runs are skipped")
     add_campaign_selectors(campaign_run)
     campaign_run.add_argument("--executor", type=str, default=None,
-                              help="campaign executor: serial (default), "
-                                   "thread, process, workers (persistent "
-                                   "warm worker pool) or sharded (implied "
-                                   "by --shards/--route or a spec with "
-                                   "routing)")
-    campaign_run.add_argument("--shards", type=int, default=None,
-                              help="shard count of the sharded executor "
-                                   "(implies --executor sharded)")
-    campaign_run.add_argument("--route", type=str, default=None,
-                              help="workload routing policy of the sharded "
-                                   "executor: hash (default), round-robin "
-                                   "or explicit (implies --executor sharded)")
-    campaign_run.add_argument("--inner-executor", dest="inner_executor",
-                              type=str, default=None,
-                              help="executor each shard delegates to "
-                                   "(default serial; implies --executor "
-                                   "sharded)")
+                              help="campaign executor: serial (default) "
+                                   "or workers (persistent warm worker "
+                                   "pool)")
     campaign_run.add_argument("--cache-dir", type=str, default=None,
                               help="content-addressed result cache: pending "
                                    "runs already cached (even by another "
                                    "campaign) are recorded without being "
                                    "executed; new completed runs are added")
     campaign_run.add_argument("--max-workers", type=int, default=None,
-                              help="bounded concurrency of the pool executors "
-                                   "(per shard under --executor sharded)")
+                              help="worker count of the workers executor")
     campaign_run.add_argument("--timeout", type=float, default=None,
                               help="per-run wall-clock budget in seconds, "
                                    "covering retries (cooperative: checked "
@@ -261,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_campaign = sub.add_parser(
         "bench-campaign",
-        help="benchmark the campaign executors (serial/process/workers) "
+        help="benchmark the campaign executors (serial/workers) "
              "on a chunked service-style launch "
              "(appends to BENCH_campaign_throughput.json)")
     bench_campaign.add_argument("--preset", type=str, default=None,
@@ -409,49 +394,17 @@ def _campaign_store(args: argparse.Namespace, spec):
     return CampaignStore(args.store or f"{spec.name}.campaign.jsonl")
 
 
-def _campaign_executor(args: argparse.Namespace, spec):
-    """Build the run executor from the spec's routing hints and the flags.
-
-    Explicit flags win over the spec; sharding flags (or a spec that
-    carries routing) imply ``--executor sharded`` unless another executor
-    was named explicitly — in which case stray sharding flags are an error
-    rather than silently ignored.
-    """
-    from repro.campaign import get_executor
-
-    routing = dict(spec.routing)
-    if args.shards is not None:
-        routing["shards"] = args.shards
-    if args.route is not None:
-        routing["route"] = args.route
-    if args.inner_executor is not None:
-        routing["inner"] = args.inner_executor
-    flags_used = any(value is not None
-                     for value in (args.shards, args.route, args.inner_executor))
-    name = args.executor or ("sharded" if routing else "serial")
-    kwargs = dict(max_workers=args.max_workers, timeout=args.timeout,
-                  retries=args.retries)
-    if name == "sharded":
-        kwargs.update(shards=routing.get("shards", 2),
-                      route=routing.get("route", "hash"),
-                      inner=routing.get("inner", "serial"),
-                      assignments=routing.get("assignments"))
-    elif flags_used:
-        raise ValueError(f"--shards/--route/--inner-executor configure the "
-                         f"sharded executor; drop --executor {name} or use "
-                         f"--executor sharded")
-    return get_executor(name, **kwargs)
-
-
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.campaign import ResultCache, run_campaign
+    from repro.campaign import ResultCache, get_executor, run_campaign
 
     try:
         if args.max_runs is not None and args.max_runs < 0:
             raise ValueError("max_runs must be >= 0")
         spec = _campaign_spec(args)
         store = _campaign_store(args, spec)
-        executor = _campaign_executor(args, spec)
+        executor = get_executor(args.executor or "serial",
+                                max_workers=args.max_workers,
+                                timeout=args.timeout, retries=args.retries)
         cache_dir = args.cache_dir or spec.cache_dir
         cache = ResultCache(cache_dir) if cache_dir else None
         runs = spec.resolve()
@@ -481,9 +434,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                                on_record=progress, runs=runs,
                                completed_ids=done_ids, cache=cache)
     except (ValueError, OSError) as error:
-        # e.g. the store became unwritable mid-campaign, or a router
-        # produced an invalid shard for a run (workers' exceptions are
-        # captured into records and never surface here)
+        # e.g. the store became unwritable mid-campaign (workers'
+        # exceptions are captured into records and never surface here)
         print(f"error: {error}", file=sys.stderr)
         return 2
     executor_stats = getattr(executor, "last_stats", None)
@@ -491,17 +443,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         payload = outcome.summary()
         if cache is not None:
             payload["cache"] = dict(cache.stats(), dir=cache_dir)
-        shard_sizes = getattr(executor, "shard_sizes", None)
-        if shard_sizes:
-            payload["shards"] = shard_sizes
         if executor_stats:
             payload["executor_stats"] = executor_stats
         print(json.dumps(_jsonable(payload), indent=2))
     else:
-        shard_sizes = getattr(executor, "shard_sizes", None)
-        if shard_sizes:
-            print("shards: " + ", ".join(f"{name}: {count}" for name, count
-                                         in sorted(shard_sizes.items())))
         if executor_stats:
             print("worker pool: " + ", ".join(
                 f"{key}: {value}" for key, value

@@ -57,6 +57,9 @@ _REQUESTS = REGISTRY.counter(
 #: Seconds of subscriber silence between SSE keep-alive comments.
 DEFAULT_KEEPALIVE_S = 15.0
 
+#: Largest request body the service reads (bytes); larger ones get 413.
+MAX_BODY_BYTES = 1 << 20
+
 _CAMPAIGN_PATH = re.compile(r"^/v1/campaigns/([A-Za-z0-9._-]+)$")
 _EVENTS_PATH = re.compile(r"^/v1/campaigns/([A-Za-z0-9._-]+)/events$")
 _REPORT_PATH = re.compile(r"^/v1/campaigns/([A-Za-z0-9._-]+)/report$")
@@ -153,6 +156,10 @@ def parse_submission(body: Dict[str, object]
     return spec, options
 
 
+class _BodyTooLarge(ValueError):
+    """A request body over :data:`MAX_BODY_BYTES` (answered with 413)."""
+
+
 class CampaignServiceHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the server's :class:`CampaignJobManager`."""
 
@@ -182,7 +189,27 @@ class CampaignServiceHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """Read and parse the JSON body.
+
+        Raises:
+            _BodyTooLarge: on a ``Content-Length`` over
+                :data:`MAX_BODY_BYTES` (checked before reading).
+            ValueError: on a negative or non-integer ``Content-Length``,
+                or a body that is empty or not JSON.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # read(-1) would block until the client closes the connection
+            self.close_connection = True
+            raise ValueError(f"invalid Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True   # the body is left unread
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body; send a JSON object")
@@ -257,6 +284,9 @@ class CampaignServiceHandler(BaseHTTPRequestHandler):
         try:
             spec, options = parse_submission(self._read_json())
             job, created, started = self.manager.submit(spec, options)
+        except _BodyTooLarge as error:
+            self._error(413, str(error))
+            return
         except ValueError as error:
             self._error(400, str(error))
             return

@@ -20,9 +20,8 @@ def record(run_id, loss=1.0, status=STATUS_COMPLETED):
 
 
 def stub_result(**overrides):
-    kwargs = dict(runs_per_sec={"serial": 40.0, "process": 20.0,
-                                "workers": 50.0},
-                  chunk_sizes={"serial": 1, "process": 2, "workers": 2},
+    kwargs = dict(runs_per_sec={"serial": 40.0, "workers": 50.0},
+                  chunk_sizes={"serial": 1, "workers": 2},
                   preset="campaign-smoke", n_runs=8, max_workers=2,
                   start_method="spawn", pool_stats={"dispatched_runs": 8},
                   equivalent=True, equivalence_detail="")
@@ -33,7 +32,7 @@ def stub_result(**overrides):
 class TestServiceChunkSize:
     def test_mirrors_the_service_launch_shape(self):
         assert service_chunk_size("serial", 4) == 1
-        assert service_chunk_size("process", 4) == 4
+        assert service_chunk_size("workers", 4) == 4
         assert service_chunk_size("workers", 2) == 2
         assert service_chunk_size("workers", 0) == 1
 
@@ -65,7 +64,7 @@ class TestRunCampaignBenchmark:
     def test_measures_all_executors_and_gates(self):
         result = run_campaign_benchmark(repeats=1, max_workers=2,
                                         start_method="fork")
-        assert set(result.runs_per_sec) == {"serial", "process", "workers"}
+        assert set(result.runs_per_sec) == {"serial", "workers"}
         assert all(rate > 0 for rate in result.runs_per_sec.values())
         assert result.n_runs == 8
         assert result.chunk_sizes["serial"] == 1
@@ -73,7 +72,7 @@ class TestRunCampaignBenchmark:
         # warmup chunk + measured blocks all ran on the one warm pool
         assert result.pool_stats["dispatched_runs"] >= 8
         assert result.pool_stats["respawns"] == 0
-        assert result.speedup("workers", "process") > 0
+        assert result.speedup("workers", "serial") > 0
 
     def test_repetitions_scale_the_run_count(self):
         result = run_campaign_benchmark(repeats=1, max_workers=2,
@@ -93,14 +92,16 @@ class TestPersistAndFormat:
         path = persist_result(result, str(tmp_path))
         assert path.endswith("BENCH_campaign_throughput.json")
         saved = latest_run("campaign_throughput", str(tmp_path))
-        assert saved["metrics"]["speedup_workers_vs_process"] == 2.5
+        assert saved["metrics"]["speedup_workers_vs_serial"] == 1.25
+        assert saved["params"]["executors"] == ["serial", "workers"]
         assert saved["metrics"]["equivalent"] is True
         assert saved["params"]["preset"] == "campaign-smoke"
 
     def test_format_mentions_every_executor_and_the_gate(self):
         text = format_result(stub_result())
-        assert "serial" in text and "process" in text and "workers" in text
-        assert "2.50x" in text
+        assert "serial" in text and "workers" in text
+        assert "process" not in text
+        assert "1.25x" in text
         assert "OK" in text
         failed = format_result(stub_result(equivalent=False,
                                            equivalence_detail="diverged"))
@@ -113,7 +114,7 @@ class TestMain:
                      "--max-workers", "2", "--start-method", "fork",
                      "--no-persist"]) == 0
         out = capsys.readouterr().out
-        assert "workers vs process" in out
+        assert "workers vs serial" in out
         assert "recorded" not in out
 
     def test_main_persists_history(self, capsys, tmp_path):

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import os
 import threading
+import time
 
 import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, RunRecord,
-                            available_executors, execute_run, get_campaign_preset,
-                            get_executor, run_campaign)
+                            WorkerPool, WorkerPoolExecutor, aggregate,
+                            available_executors, execute_run,
+                            get_campaign_preset, get_executor, run_campaign,
+                            shutdown_shared_pools)
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
 
 
@@ -28,12 +32,43 @@ def smoke_spec(**kwargs) -> CampaignSpec:
     return CampaignSpec.from_dict(base)
 
 
-def process_killing_worker(payload):
-    """Kills its host process outright — no exception for the pool to relay,
-    so every pending future of the pool raises BrokenProcessPool."""
-    import os as os_module
+def twin_fails_worker(payload):
+    """Fails the payload at index 1 (the twin of a duplicated run id)."""
+    if payload["index"] == 1:
+        raise RuntimeError("twin failed")
+    return {"final_total_loss": 1.0}
 
-    os_module._exit(13)
+
+def slow_worker(payload):
+    time.sleep(0.05)
+    return {"final_total_loss": 1.0}
+
+
+def slow_failing_worker(payload):
+    time.sleep(0.05)
+    raise RuntimeError("still failing")
+
+
+def marking_worker(payload):
+    """Leaves a marker file per executed run (visible across processes)."""
+    marker = os.path.join(payload["config"]["marker_dir"],
+                          str(payload["index"]))
+    open(marker, "w").close()
+    return {"final_total_loss": 1.0}
+
+
+@pytest.fixture
+def executor_of(monkeypatch):
+    """``get_executor`` with ``workers`` on fork-started shared pools.
+
+    The module-level workers above live in a test module that spawned
+    workers cannot import, so the pools fork; they are shut down after
+    the test.
+    """
+    monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
+                        "fork")
+    yield get_executor
+    shutdown_shared_pools()
 
 
 class TestStore:
@@ -118,44 +153,25 @@ class TestStore:
 
 class TestExecutors:
     def test_registry_names(self):
-        assert available_executors() == ("process", "serial", "sharded",
-                                         "thread", "workers")
+        assert available_executors() == ("serial", "workers")
         with pytest.raises(ValueError, match="valid executors"):
             get_executor("quantum")
 
     def test_default_pool_workers_is_machine_derived_and_bounded(self):
-        import os as os_module
-
         from repro.campaign import default_pool_workers
         from repro.campaign.scheduler import DEFAULT_MAX_POOL_WORKERS
 
         value = default_pool_workers()
         assert 2 <= value <= DEFAULT_MAX_POOL_WORKERS
-        assert value <= max(2, os_module.cpu_count() or 1)
+        assert value <= max(2, os.cpu_count() or 1)
         assert default_pool_workers(maximum=3) <= 3
 
-    def test_broken_pool_becomes_failed_records_not_an_exception(self):
-        """The pool-infrastructure death path of ``_PoolExecutorBase._drain``:
-        a worker process dying (BrokenProcessPool on every pending future)
-        must surface as failed records in submission order — executors
-        never raise for a run's failure, only for abort signals."""
-        payloads = [run.payload() for run in smoke_spec().resolve()][:4]
-        seen = []
-        records = get_executor("process", max_workers=1).execute(
-            payloads, process_killing_worker, on_record=seen.append)
-        assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
-        assert all(r.status == STATUS_FAILED for r in records)
-        assert any("BrokenProcessPool" in r.error for r in records)
-        # the observer still saw every failed record exactly once
-        assert sorted(r.run_id for r in seen) == \
-            sorted(p["run_id"] for p in payloads)
-
-    @pytest.mark.parametrize("name", ("serial", "thread"))
-    def test_executor_runs_every_payload(self, name):
+    @pytest.mark.parametrize("name", ("serial", "workers"))
+    def test_executor_runs_every_payload(self, name, executor_of):
         spec = smoke_spec(repetitions=2)
         payloads = [run.payload() for run in spec.resolve()]
         seen = []
-        records = get_executor(name, max_workers=2).execute(
+        records = executor_of(name, max_workers=2).execute(
             payloads, fake_worker, on_record=seen.append)
         assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
         assert all(r.completed and r.attempts == 1 for r in records)
@@ -196,96 +212,92 @@ class TestExecutors:
         assert record.attempts == 3
         assert "still broken" in record.error
 
-    def test_cooperative_timeout_keeps_a_successful_overrun(self):
+    @pytest.mark.parametrize("name", ("serial", "workers"))
+    def test_cooperative_timeout_keeps_a_successful_overrun(self, name,
+                                                            executor_of):
         """A run that succeeds over budget keeps its result (discarding it
         would re-execute the run on every resume, forever) with a warning."""
-        import time
-
-        def slow(payload):
-            time.sleep(0.05)
-            return {"final_total_loss": 1.0}
-
         payload = smoke_spec(repetitions=1).resolve()[0].payload()
-        record = get_executor("thread", timeout=0.01).execute([payload], slow)[0]
+        record = executor_of(name, timeout=0.01).execute([payload],
+                                                         slow_worker)[0]
         assert record.completed
         assert record.summary == {"final_total_loss": 1.0}
         assert "TimeoutWarning" in record.error and "budget" in record.error
 
-    def test_timeout_budgets_the_whole_run_including_retries(self):
+    @pytest.mark.parametrize("name", ("serial", "workers"))
+    def test_timeout_budgets_the_whole_run_including_retries(self, name,
+                                                             executor_of):
         """--timeout is a per-run budget: a failing run is not re-executed
         retries+1 times for (retries+1) x timeout total."""
-        import time
-
-        def slow_failing(payload):
-            time.sleep(0.05)
-            raise RuntimeError("still failing")
-
         payload = smoke_spec(repetitions=1).resolve()[0].payload()
-        executor = get_executor("serial", timeout=0.01, retries=5)
-        record = executor.execute([payload], slow_failing)[0]
+        executor = executor_of(name, timeout=0.01, retries=5)
+        record = executor.execute([payload], slow_failing_worker)[0]
         assert record.status == STATUS_FAILED
         assert record.attempts == 1
         assert "still failing" in record.error
 
-    @pytest.mark.parametrize("name", ("serial", "thread"))
-    def test_duplicate_run_ids_keep_their_own_records(self, name):
+    @pytest.mark.parametrize("name", ("serial", "workers"))
+    def test_duplicate_run_ids_keep_their_own_records(self, name,
+                                                      executor_of):
         """The executor contract takes arbitrary payloads: two payloads
         sharing a run id must each come back with their own record."""
         payload = smoke_spec(repetitions=1).resolve()[0].payload()
         twin = dict(payload, index=1)
-        calls = itertools.count()
-        lock = threading.Lock()
+        records = executor_of(name, max_workers=1).execute(
+            [payload, twin], twin_fails_worker)
+        assert [r.run_id for r in records] == [payload["run_id"]] * 2
+        assert [r.status for r in records] == [STATUS_COMPLETED,
+                                               STATUS_FAILED]
 
-        def second_call_fails(p):
-            with lock:
-                attempt = next(calls)
-            if attempt == 1:
-                raise RuntimeError("twin failed")
-            return {"final_total_loss": 1.0}
-
-        records = get_executor(name, max_workers=1).execute(
-            [payload, twin], second_call_fails)
-        assert len(records) == 2
-        assert sorted(r.status for r in records) == \
-            [STATUS_COMPLETED, STATUS_FAILED]
-
-    def test_abort_cancels_queued_runs(self):
-        """Ctrl-C (or a store write failure) must not silently execute — and
-        discard — every queued run before the abort surfaces."""
-        payloads = [run.payload() for run in smoke_spec().resolve()]
+    def test_abort_cancels_queued_runs(self, tmp_path):
+        """A store write failure (the record observer raising) must not
+        silently execute — and discard — every queued run on the pool
+        before the abort surfaces."""
+        payloads = [dict(run.payload(), config={"marker_dir": str(tmp_path)})
+                    for run in smoke_spec().resolve()]
         assert len(payloads) == 8
-        calls = itertools.count()
-        lock = threading.Lock()
 
-        def interrupting(payload):
-            with lock:
-                attempt = next(calls)
-            if attempt == 0:
-                raise KeyboardInterrupt
-            return {"final_total_loss": 1.0}
+        def failing_append(record):
+            raise OSError("disk full")
 
-        with pytest.raises(KeyboardInterrupt):
-            get_executor("thread", max_workers=1).execute(payloads, interrupting)
-        # the one in-flight run may have started; the rest were cancelled
-        with lock:
-            executed = next(calls)
-        assert executed <= 2
+        pool = WorkerPool(1, start_method="fork")
+        executor = WorkerPoolExecutor(pool=pool, batch_size=1, capacity=1)
+        try:
+            with pytest.raises(OSError, match="disk full"):
+                executor.execute(payloads, marking_worker,
+                                 on_record=failing_append)
+        finally:
+            pool.shutdown()
+        # one batch of one run was in flight; the other seven never left
+        # the queue
+        assert os.listdir(tmp_path) == ["0"]
 
     def test_invalid_executor_options(self):
         with pytest.raises(ValueError):
-            get_executor("thread", max_workers=0)
+            get_executor("workers", max_workers=0)
         with pytest.raises(ValueError):
             get_executor("serial", retries=-1)
         with pytest.raises(ValueError):
             get_executor("serial", timeout=0.0)
 
-    def test_process_executor_runs_real_workflows(self, tmp_path):
-        spec = smoke_spec(repetitions=1)
-        store = CampaignStore(str(tmp_path / "proc.jsonl"))
-        outcome = run_campaign(spec, store,
-                               get_executor("process", max_workers=2))
-        assert outcome.completed == 2, [r.error for r in outcome.records]
-        assert all(r.summary["ok"] for r in store.records())
+    def test_workers_executor_matches_serial_on_real_workflows(self,
+                                                               tmp_path):
+        """Determinism across executors: campaign-smoke on the warm worker
+        pool (spawned workers, the real coupled run) reproduces the serial
+        launch's deterministic aggregate report."""
+        spec = smoke_spec()
+        serial = run_campaign(spec,
+                              CampaignStore(str(tmp_path / "serial.jsonl")))
+        try:
+            pooled = run_campaign(
+                spec, CampaignStore(str(tmp_path / "workers.jsonl")),
+                get_executor("workers", max_workers=2))
+        finally:
+            shutdown_shared_pools()
+        assert pooled.completed == 8, [r.error for r in pooled.records]
+        assert all(r.summary["ok"] for r in pooled.records)
+        assert aggregate(pooled.records).deterministic_dict() == \
+            aggregate(serial.records).deterministic_dict()
 
 
 class TestRunCampaign:
@@ -357,8 +369,6 @@ class TestResumability:
                           repetitions=2, n_steps=2)
 
     def test_interrupted_campaign_resumes_exactly(self, tmp_path):
-        from repro.campaign import aggregate
-
         spec = self.six_run_spec()
         assert len(spec.resolve()) == 6
 

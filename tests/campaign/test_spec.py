@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.campaign import CampaignSpec, apply_override, run_id_of
@@ -198,7 +200,31 @@ class TestValidationAndRoundTrip:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown CampaignSpec keys"):
-            CampaignSpec.from_dict({"executor": "thread"})
+            CampaignSpec.from_dict({"executor": "workers"})
+
+    def test_empty_routing_of_old_spec_files_is_dropped(self, tmp_path):
+        """Spec files written while sharded execution existed all carry
+        ``"routing": {}``; they keep loading, to the same spec."""
+        spec = smoke_spec()
+        path = tmp_path / "old.spec.json"
+        path.write_text(json.dumps(dict(spec.to_dict(), routing={})))
+        assert CampaignSpec.from_file(str(path)) == spec
+
+    def test_nonempty_routing_is_rejected(self):
+        document = dict(smoke_spec().to_dict(), routing={"shards": 2})
+        with pytest.raises(ValueError, match="sharded execution was removed"):
+            CampaignSpec.from_dict(document)
+
+    def test_campaign_smoke_run_ids_are_pinned(self):
+        """Run ids key every existing store and cache entry: removing a
+        spec field must not move them."""
+        runs = smoke_spec().resolve()
+        assert [run.run_id for run in runs] == [
+            "be3d66dfdf7a2fec", "00b1d783632ad4de", "7318969decead6fd",
+            "195f400d73bb8554", "b8980b8aec410fa4", "7a7dedcda99821a4",
+            "3a0eb391490546ab", "c24d61ff61c8d04d"]
+        assert all(run_id_of(run.config, run.driver, run.n_steps)
+                   == run.run_id for run in runs)
 
     def test_base_preset_resolution(self):
         spec = CampaignSpec(base_preset="bench-tiny", parameters={},

@@ -346,21 +346,3 @@ class TestWorkerPoolExecutor:
         fresh = shared_pool(2)
         assert not fresh._closed
         shutdown_shared_pools()
-
-    def test_sharded_campaign_can_delegate_to_workers(self, monkeypatch,
-                                                      tmp_path):
-        """``routing.inner = "workers"`` sends every shard to the shared
-        warm pool; the pool lock serialises the shards' leases."""
-        monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
-                            "fork")
-        shutdown_shared_pools()
-        try:
-            spec = smoke_spec(routing={"shards": 2, "route": "hash",
-                                       "inner": "workers"})
-            store = CampaignStore(str(tmp_path / "sharded.jsonl"))
-            executor = get_executor("sharded", shards=2, route="hash",
-                                    inner="workers", max_workers=2)
-            outcome = run_campaign(spec, store, executor, worker=fake_worker)
-            assert outcome.completed == 8 and outcome.done
-        finally:
-            shutdown_shared_pools()

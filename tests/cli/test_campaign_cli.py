@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from repro.campaign import CampaignSpec, get_campaign_preset
+from repro.campaign import (CampaignSpec, get_campaign_preset,
+                            shutdown_shared_pools)
 from repro.cli import main as cli_main
 
 
@@ -41,12 +42,17 @@ class TestCampaignRun:
 
     def test_run_with_preset_and_json(self, capsys, tmp_path):
         store = str(tmp_path / "store.jsonl")
-        assert cli_main(["campaign", "run", "--preset", "campaign-smoke",
-                         "--store", store, "--max-runs", "2",
-                         "--executor", "thread", "--json"]) == 0
+        try:
+            assert cli_main(["campaign", "run", "--preset", "campaign-smoke",
+                             "--store", store, "--max-runs", "2",
+                             "--executor", "workers", "--max-workers", "2",
+                             "--json"]) == 0
+        finally:
+            shutdown_shared_pools()
         payload = json.loads(capsys.readouterr().out)
         assert payload["campaign"] == "campaign-smoke"
         assert payload["executed"] == 2
+        assert payload["executor_stats"]["dispatched_runs"] == 2
         assert payload["deferred"] == 6
         assert payload["done"] is False
 
@@ -70,67 +76,7 @@ class TestCampaignRun:
         assert "max_runs must be >= 0" in capsys.readouterr().err
 
 
-class TestShardedAndCachedRuns:
-    def test_sharded_flags_imply_the_sharded_executor(self, capsys,
-                                                      tiny_campaign):
-        spec_path, store = tiny_campaign
-        assert cli_main(["campaign", "run", "--spec", spec_path,
-                         "--store", store, "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "executor 'sharded'" in out
-        assert "shards: shard-0:" in out
-        assert "completed: 2" in out
-
-    def test_spec_routing_selects_sharding_by_default(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
-        assert cli_main(["campaign", "run", "--preset",
-                         "campaign-smoke-sharded", "--store", store,
-                         "--max-runs", "2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["executed"] == 2
-        assert sorted(payload["shards"]) == ["shard-0", "shard-1", "shard-2",
-                                             "shard-3"]
-
-    def test_explicit_executor_still_wins_over_spec_routing(self, capsys,
-                                                            tmp_path):
-        store = str(tmp_path / "store.jsonl")
-        assert cli_main(["campaign", "run", "--preset",
-                         "campaign-smoke-sharded", "--store", store,
-                         "--max-runs", "1", "--executor", "serial"]) == 0
-        assert "executor 'serial'" in capsys.readouterr().out
-
-    def test_sharding_flags_conflict_with_other_executors(self, capsys):
-        assert cli_main(["campaign", "run", "--preset", "campaign-smoke",
-                         "--executor", "thread", "--shards", "2"]) == 2
-        assert "--executor sharded" in capsys.readouterr().err
-
-    def test_invalid_sharding_options_fail_cleanly(self, capsys,
-                                                   tiny_campaign):
-        spec_path, store = tiny_campaign
-        assert cli_main(["campaign", "run", "--spec", spec_path,
-                         "--store", store, "--shards", "0"]) == 2
-        assert "shards must be" in capsys.readouterr().err
-        assert cli_main(["campaign", "run", "--spec", spec_path,
-                         "--store", store, "--route", "teleport"]) == 2
-        assert "valid routes" in capsys.readouterr().err
-
-    def test_out_of_range_explicit_assignment_fails_cleanly(
-            self, capsys, tmp_path, tiny_campaign):
-        """A runtime routing failure (only detectable once the shard count
-        meets the assignments) must exit 2 with a one-line error, not a
-        traceback."""
-        spec_path, store = tiny_campaign
-        spec = CampaignSpec.from_file(spec_path)
-        run_id = spec.resolve()[0].run_id
-        bad = dict(spec.to_dict(),
-                   routing={"shards": 2, "route": "explicit",
-                            "assignments": {run_id: 5}})
-        bad_path = str(tmp_path / "bad-routing.json")
-        CampaignSpec.from_dict(bad).to_file(bad_path)
-        assert cli_main(["campaign", "run", "--spec", bad_path,
-                         "--store", store]) == 2
-        assert "outside 0..1" in capsys.readouterr().err
-
+class TestCachedRuns:
     def test_cache_dir_serves_a_second_store_without_executing(
             self, capsys, tmp_path, tiny_campaign):
         spec_path, _ = tiny_campaign
@@ -144,7 +90,7 @@ class TestShardedAndCachedRuns:
         second = str(tmp_path / "second.jsonl")
         assert cli_main(["campaign", "run", "--spec", spec_path,
                          "--store", second, "--cache-dir", cache_dir,
-                         "--executor", "sharded", "--shards", "2"]) == 0
+                         "--executor", "workers", "--max-workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "cache: 2 hit(s) of 2 pending (100%)" in out
         assert "cache_hits: 2, executed: 0" in out

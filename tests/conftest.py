@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config) -> None:
+    """Register the repo's custom marks."""
+    config.addinivalue_line(
+        "markers", "slow: a test that takes several seconds "
+                   "(deselect with -m 'not slow')")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for tests."""

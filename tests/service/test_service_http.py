@@ -9,7 +9,9 @@ urllib+SSE path the CLI, the CI smoke job and real users take.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import itertools
+import json
 import threading
 import time
 
@@ -19,7 +21,9 @@ from sse_helpers import run_ids_of
 
 from repro.campaign import CampaignSpec, get_campaign_preset
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import create_server, parse_submission
+from repro.service.jobs import CampaignJobManager, campaign_id_of
+from repro.service.server import (MAX_BODY_BYTES, create_server,
+                                  parse_submission)
 
 
 def fake_worker(payload):
@@ -278,7 +282,72 @@ class TestRestartResume:
             assert again["created"] is False and again["started"] is False
 
 
+class TestOldSpecFiles:
+    def test_campaign_id_of_campaign_smoke_is_pinned(self):
+        """Campaign ids name every store on disk: dropping the routing
+        field must not move them."""
+        spec = get_campaign_preset("campaign-smoke")
+        assert campaign_id_of(spec) == "campaign-smoke-e4cc27704b"
+
+    def test_manager_reattaches_a_spec_file_with_empty_routing(self,
+                                                               tmp_path):
+        """Every spec file a service wrote before sharded execution was
+        removed carries ``"routing": {}``; a restarted manager still
+        attaches those campaigns."""
+        spec = small_spec(name="old-spec-file")
+        campaign_id = campaign_id_of(spec)
+        with open(tmp_path / f"{campaign_id}.spec.json", "w",
+                  encoding="utf-8") as handle:
+            json.dump(dict(spec.to_dict(), routing={}), handle)
+        manager = CampaignJobManager(str(tmp_path), worker=fake_worker)
+        try:
+            job = manager.get(campaign_id)
+            assert job is not None and job.spec == spec
+            job, created, started = manager.submit(spec)
+            assert created is False and started is True
+            job.join(timeout=15)
+            assert job.status()["state"] == "completed"
+        finally:
+            manager.shutdown()
+
+
+def post_raw(server, content_length, body=b"{}"):
+    """POST /v1/campaigns with a hand-set Content-Length; (status, json)."""
+    connection = http.client.HTTPConnection(server.server_address[0],
+                                            server.server_address[1],
+                                            timeout=5)
+    try:
+        connection.putrequest("POST", "/v1/campaigns")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 class TestErrorPaths:
+    def test_negative_content_length_is_400(self, tmp_path):
+        """``read(-1)`` would block the handler until the client hangs up."""
+        with service(tmp_path) as (_, server):
+            status, document = post_raw(server, "-1")
+            assert status == 400
+            assert "Content-Length" in document["error"]
+
+    def test_non_integer_content_length_is_400(self, tmp_path):
+        with service(tmp_path) as (_, server):
+            assert post_raw(server, "two")[0] == 400
+
+    def test_oversized_body_is_413_before_reading(self, tmp_path):
+        with service(tmp_path) as (_, server):
+            status, document = post_raw(server, str(MAX_BODY_BYTES + 1))
+            assert status == 413
+            assert str(MAX_BODY_BYTES) in document["error"]
+            body = json.dumps({"spec": small_spec().to_dict()}).encode()
+            assert post_raw(server, str(len(body)), body)[0] == 201
+
+
     def test_unknown_campaign_routes_are_404(self, tmp_path):
         with service(tmp_path) as (client, _):
             for call in (client.status, client.report):
@@ -298,6 +367,9 @@ class TestErrorPaths:
                 {"preset": "campaign-smoke", "bogus": 1},    # unknown key
                 {"preset": "no-such-preset"},
                 {"preset": "campaign-smoke", "executor": "no-such-executor"},
+                {"preset": "campaign-smoke", "executor": "thread"},
+                {"preset": "campaign-smoke", "executor": "process"},
+                {"preset": "campaign-smoke", "executor": "sharded"},
             ]
             for body in cases:
                 with pytest.raises(ServiceError) as excinfo:

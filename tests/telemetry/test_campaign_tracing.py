@@ -19,7 +19,6 @@ import pytest
 from repro.campaign import (CampaignSpec, CampaignStore, ResultCache,
                             WorkerPool, WorkerPoolExecutor,
                             get_campaign_preset, run_campaign)
-from repro.campaign.scheduler import ThreadPoolCampaignExecutor
 from repro.telemetry import REGISTRY, disabled, read_spans, trace_path_for
 
 
@@ -218,9 +217,7 @@ class TestMetricsUnderConcurrency:
 
         def launch(spec, store):
             try:
-                run_campaign(spec, store,
-                             ThreadPoolCampaignExecutor(max_workers=4),
-                             worker=fake_worker)
+                run_campaign(spec, store, worker=fake_worker)
             except BaseException as exc:  # noqa: BLE001 - fail the test
                 errors.append(exc)
 
